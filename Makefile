@@ -3,15 +3,20 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify unit profile-smoke perf-smoke mixed-smoke service-smoke chaos-smoke test bench bench-report
+.PHONY: verify unit perfbench-selftest profile-smoke perf-smoke mixed-smoke service-smoke chaos-smoke test bench bench-report
 
-# Tier-1 gate: the full test suite plus the profiler, perf, mixed-precision,
-# service, and chaos smoke checks.
-verify: unit profile-smoke perf-smoke mixed-smoke service-smoke chaos-smoke
+# Tier-1 gate: the full test suite, the end-to-end benchmark's self-test,
+# and the profiler, perf, mixed-precision, service, and chaos smoke checks.
+verify: unit perfbench-selftest profile-smoke perf-smoke mixed-smoke service-smoke chaos-smoke
 
 # The full unit/integration/property suite, fail-fast.
 unit:
 	$(PYTHON) -m pytest -x -q
+
+# Self-test of the end-to-end benchmark (perfbench/): every workload runs
+# at a tiny size and every answer and reported metric is checked.
+perfbench-selftest:
+	$(PYTHON) -m pytest perfbench -q
 
 # End-to-end profiler acceptance: attribution coverage, Chrome-trace
 # validity, and same-seed trace determinism on a small profiled solve.

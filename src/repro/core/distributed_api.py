@@ -25,6 +25,7 @@ from repro.core.types import value_dtype
 from repro.ginkgo.distributed import Partition, sequential_ranks
 from repro.ginkgo.distributed import Vector as _Vector
 from repro.ginkgo.exceptions import GinkgoError
+from repro.ginkgo.matrix.base import check_value_dtype
 from repro.ginkgo.log import ConvergenceLogger
 from repro.ginkgo.stop import Iteration, ResidualNorm
 
@@ -78,16 +79,18 @@ def matrix(
     """Distribute a global SciPy matrix over ``part`` ranks.
 
     ``part`` is a :class:`Partition` or a rank count (uniform split).
-    With ``overlap=True`` every SpMV posts its halo exchange
-    non-blocking and hides it behind the rank-local block multiply
-    (relaxes bit identity to a rounding tolerance — see DESIGN.md);
+    The value type defaults to the matrix's own, as in
+    ``Csr.from_scipy``.  With ``overlap=True`` every SpMV posts its halo
+    exchange non-blocking and hides it behind the rank-local block
+    multiply (relaxes bit identity to a rounding tolerance — see
+    DESIGN.md);
     ``network`` picks the interconnect model (a
     :class:`~repro.perfmodel.comm.NetworkSpec`) for the communicator
     built with the matrix.
     """
     binding = bindings.resolve(
         "distributed_matrix",
-        value_dtype or np.float64,
+        value_dtype or check_value_dtype(scipy_matrix.dtype),
         index_dtype,
         exec_=device,
     )

@@ -179,6 +179,7 @@ class InflightExchange:
                 comm.bytes_halo_exchanged += self._nbytes
             else:  # late
                 comm._extra_delay(injector.stall_seconds, "halo_late")
+        comm._verify(self._payload)
         return exposed
 
     def __repr__(self) -> str:
@@ -224,6 +225,9 @@ class Communicator:
         self.num_posted = 0
         #: Posted-but-unwaited exchange handles, in post order.
         self._inflight: list = []
+        #: Called on every reduced payload while a solver's
+        #: checkpoint/replay recovery is armed; raises to trigger a replay.
+        self._verifier = None
 
     @property
     def executor(self):
@@ -257,6 +261,10 @@ class Communicator:
             victim = injector.choose(self.num_ranks)
             self._announce(fault, rank=victim)
             raise RankFailure(victim, op=label)
+
+    def _verify(self, payload) -> None:
+        if payload is not None and self._verifier is not None:
+            self._verifier(payload)
 
     def _extra_delay(self, seconds: float, label: str) -> None:
         """Charge injected extra time under the ``fault`` trace category."""
@@ -313,6 +321,7 @@ class Communicator:
                         index=fault.index,
                         flat_index=poisoned,
                     )
+        self._verify(payload)
         return seconds
 
     def halo_exchange(

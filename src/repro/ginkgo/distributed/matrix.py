@@ -156,7 +156,9 @@ class Matrix(LinOp):
         exec_: Executor running the rank-local kernels.
         partition: Row :class:`Partition`; must cover the matrix size.
         data: Global operator — any SciPy sparse matrix or dense array.
-        value_dtype: Value type (``float16``/``float32``/``float64``).
+        value_dtype: Value type (``float16``/``float32``/``float64``);
+            defaults to the data's own value type, as in
+            ``Csr.from_scipy``.
         index_dtype: Index type (``int32``/``int64``) used in cost
             modeling and the structural blocks.
         comm: Communicator charged for halo exchanges; shared with
@@ -175,7 +177,7 @@ class Matrix(LinOp):
         exec_,
         partition: Partition,
         data,
-        value_dtype=np.float64,
+        value_dtype=None,
         index_dtype=np.int32,
         comm: Communicator | None = None,
         overlap: bool = False,
@@ -185,9 +187,10 @@ class Matrix(LinOp):
             raise GinkgoError(
                 f"expected a Partition, got {type(partition).__name__}"
             )
-        self._value_dtype = check_value_dtype(value_dtype)
+        mat = sp.csr_matrix(data)
+        self._value_dtype = check_value_dtype(value_dtype or mat.dtype)
         self._index_dtype = check_index_dtype(index_dtype)
-        mat = sp.csr_matrix(data).astype(self._value_dtype)
+        mat = mat.astype(self._value_dtype)
         rows, cols = mat.shape
         if rows != cols:
             raise BadDimension(

@@ -1,18 +1,23 @@
 """Distributed Krylov solvers (CG and GMRES) over simulated ranks.
 
-Each blocking solver mirrors its scalar counterpart *operation for
-operation*:
+One algorithm body, two routes
+------------------------------
+:class:`DistributedCgSolver` and :class:`DistributedGmresSolver` have no
+iteration loop of their own: they run the scalar ``CgSolver`` and
+``GmresSolver`` bodies, which reach their vectors only through a few
+route hooks that :class:`DistributedIterativeSolver` and the vector types
+supply:
 
-* rank-local work (SpMV, fused vector updates, copies) runs through the
-  distributed :class:`~repro.ginkgo.distributed.matrix.Matrix` and
-  rank-partitioned elementwise kernels — thread-parallel on
-  ``OmpExecutor``, elementwise identical to the scalar kernels;
-* every global reduction (dots, norms, the GMRES multi-dot) evaluates in
-  global element order — the same einsum contraction the scalar path
-  uses — while the communicator charges the all-reduce;
-* the iteration *sequence* (order of applies, dots, fused steps, monitor
-  checks) is copied from ``CgSolver._iterate`` and
-  ``GmresSolver._solve_column`` line for line.
+* ``_buffer`` hands out pooled distributed :class:`Vector` s instead of
+  workspace ``Dense`` buffers;
+* the fused step kernels call the vector's ``_elementwise`` entry point,
+  which runs rank-partitioned (thread-parallel on ``OmpExecutor``) and
+  elementwise identical to the ``Dense`` kernel;
+* every global reduction (dots, norms, and — through ``_all_reduce`` —
+  the GMRES multi-dot) evaluates in global element order, the same
+  einsum contraction the scalar path uses, while the communicator
+  charges the all-reduce;
+* ``_run``, which runs the loop, adds checkpoint/replay (see below).
 
 Consequence: a distributed solve produces a residual history bitwise
 identical to the scalar solver on the undistributed system, for any rank
@@ -38,22 +43,28 @@ reductions that dominate high-latency solves (ROADMAP item 4):
 
 Both relax the bitwise contract: reassociating reductions changes
 rounding, so their residual histories track the blocking reference only
-to a pinned tolerance (see DESIGN.md).  The blocking solvers above are
-untouched and keep byte identity.
+to a pinned tolerance (see DESIGN.md).  The blocking solvers keep byte
+identity.
 
 Fault tolerance
 ---------------
-When the executor injects faults (:class:`~repro.ginkgo.fault.FaultyExecutor`),
-the solvers arm a checkpoint/replay recovery driver (:class:`_Recovery`):
+Every body hands its loop to ``_run(step, state, monitor, **tracked)``:
+one step function, the scalars carried between steps, and the vectors
+holding the rest of the iteration state.  The scalar ``_run`` is a plain
+loop; when the executor injects faults
+(:class:`~repro.ginkgo.fault.FaultyExecutor`), the distributed override
+arms one checkpoint/replay recovery (:class:`_Recovery`) for all four
+solvers:
 
-* CG checkpoints ``(x, r, p, rz)`` every ``checkpoint_every`` iterations;
-  GMRES checkpoints ``x`` at each restart-cycle start (the cycle replays
-  deterministically from ``x``, so the cycle start *is* an exact
-  checkpoint).  Pipelined CG checkpoints its full eight-vector
-  recurrence state plus ``(prev_gamma, alpha)``; s-step GMRES, like
-  GMRES, checkpoints ``x`` at cycle starts.  On the non-blocking path
-  faults surface at ``wait()`` time, so a replay reposts and re-waits
-  the exchange deterministically.
+* A checkpoint copies ``state`` and the tracked vectors.  A CG step is
+  one iteration, checkpointed every ``checkpoint_every`` iterations
+  (``x, r, p`` and ``rz``; pipelined CG its eight-vector recurrence plus
+  ``(prev_gamma, alpha)``).  A GMRES step — blocking or s-step — is a
+  whole restart cycle, which replays deterministically from ``x``, so
+  every cycle start is an exact checkpoint of ``x`` alone.
+* While a recovery is armed the communicator checks every reduced
+  payload — blocking all-reduces and, on the non-blocking path, at
+  ``wait()`` time — so a poisoned all-reduce triggers a replay.
 * A dropped halo / corrupted all-reduce restores the checkpoint and
   replays; a :class:`RankFailure` first shrinks the partition over the
   survivors (``Partition.shrink`` + ``Communicator.shrink`` +
@@ -66,6 +77,9 @@ the solvers arm a checkpoint/replay recovery driver (:class:`_Recovery`):
   order regardless of the rank count.  Only the ``sequential_ranks``
   baseline (rank-order partial sums) relaxes reduction order after a
   repartition.
+
+Scalar solvers never arm a recovery: their faults escape to the
+retry/fallback layer (``resilient_solve``).
 """
 
 from __future__ import annotations
@@ -81,14 +95,9 @@ from repro.ginkgo.exceptions import (
 )
 from repro.ginkgo.fault import injector_of
 from repro.ginkgo.solver.base import IterativeSolver, SolverFactory
-from repro.ginkgo.solver.cg import _safe_divide
-from repro.ginkgo.solver.gmres import DEFAULT_KRYLOV_DIM
-from repro.ginkgo.solver.kernels import (
-    _bc,
-    gmres_multidot,
-    gmres_update,
-    record_fused,
-)
+from repro.ginkgo.solver.cg import CgSolver, _safe_divide
+from repro.ginkgo.solver.gmres import GmresSolver
+from repro.ginkgo.solver.kernels import _bc, record_fused
 from repro.perfmodel import KernelCost
 
 #: Payload bytes of one scalar reduction result (always float64).
@@ -106,9 +115,10 @@ RECOVERABLE = (CommunicationError, _StateCorrupted)
 
 
 class _Recovery:
-    """Checkpoint/replay driver for one distributed solve.
+    """Checkpoint/replay state of one distributed solve.
 
-    Armed only when the solver's executor carries a
+    Driven by :meth:`DistributedIterativeSolver._run`; armed only when
+    the solver's executor carries a
     :class:`~repro.ginkgo.fault.FaultInjector` and ``checkpoint_every``
     is positive; fault-free solves pay nothing.  Checkpoints are host
     copies of the tracked arenas (the ranks share one address space, so
@@ -118,27 +128,28 @@ class _Recovery:
     """
 
     @staticmethod
-    def arm(solver: "DistributedIterativeSolver", b: Vector, x: Vector):
+    def arm(solver: "DistributedIterativeSolver", b: Vector, tracked: dict):
         injector = injector_of(solver._exec)
         if injector is None:
             return None
         every = int(solver._factory.params.get("checkpoint_every", 1) or 0)
         if every < 1:
             return None
+        if solver._cycle_steps:
+            every = 1
         budget = int(solver._factory.params.get("max_recoveries", 8))
-        return _Recovery(solver, injector, b, x, every, budget)
+        return _Recovery(solver, injector, b, tracked, every, budget)
 
-    def __init__(self, solver, injector, b, x, every, budget) -> None:
+    def __init__(self, solver, injector, b, tracked, every, budget) -> None:
         self._solver = solver
         self._exec = solver._exec
         self._injector = injector
         self._b = b
-        self._x = x
         self._every = every
         self.budget = budget
-        self._tracked: dict[str, Vector] = {"x": x}
+        self._tracked: dict[str, Vector] = tracked
         self._snap_vectors: dict[str, np.ndarray] = {}
-        self._snap_scalars: dict = {}
+        self._snap_state: dict = {}
         self._last_saved: int | None = None
         # The right-hand side is never checkpointed per iteration: it is
         # immutable, so one snapshot restores a failed rank's rows.
@@ -153,33 +164,22 @@ class _Recovery:
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
-    def track(self, **vectors: Vector) -> None:
-        """Register solver vectors whose arenas checkpoints must cover."""
-        self._tracked.update(vectors)
-
     def due(self, iteration: int) -> bool:
         return (
             iteration != self._last_saved
             and (iteration - 1) % self._every == 0
         )
 
-    def due_cycle(self, iteration: int) -> bool:
-        """Cycle-granularity variant (GMRES): every new cycle start."""
-        return iteration != self._last_saved
-
-    def checkpoint(self, iteration: int, **scalars) -> None:
-        """Snapshot the tracked arenas + iteration-local scalars."""
+    def checkpoint(self, state: dict) -> None:
+        """Snapshot the tracked arenas + the step state."""
         self._snap_vectors = {
             name: vec._data.copy() for name, vec in self._tracked.items()
         }
-        self._snap_scalars = {
-            "iteration": iteration,
-            **{
-                key: value.copy() if isinstance(value, np.ndarray) else value
-                for key, value in scalars.items()
-            },
+        self._snap_state = {
+            key: value.copy() if isinstance(value, np.ndarray) else value
+            for key, value in state.items()
         }
-        self._last_saved = iteration
+        self._last_saved = state["iteration"]
         nbytes = sum(s.nbytes for s in self._snap_vectors.values())
         with self._injector.paused():
             self._exec.run(
@@ -227,7 +227,7 @@ class _Recovery:
     # recovery
     # ------------------------------------------------------------------
     def recover(self, exc: Exception) -> dict:
-        """Absorb ``exc``: shrink if a rank died, restore, return scalars.
+        """Absorb ``exc``: shrink if a rank died, restore, return the state.
 
         Raises ``exc`` again once the recovery budget is exhausted (the
         retry/fallback layer then owns the failure).
@@ -249,7 +249,7 @@ class _Recovery:
         detail = {
             "event": event,
             "error": type(exc).__name__,
-            "iteration": self._snap_scalars.get("iteration"),
+            "iteration": self._snap_state.get("iteration"),
             "ranks": solver.comm.num_ranks,
         }
         self.events.append(detail)
@@ -260,7 +260,7 @@ class _Recovery:
             ranks=detail["ranks"],
             recoveries=solver.num_recoveries,
         )
-        return dict(self._snap_scalars)
+        return dict(self._snap_state)
 
     def _shrink(self, failed_rank: int) -> None:
         solver = self._solver
@@ -271,7 +271,7 @@ class _Recovery:
         solver._matrix.repartition(survivors, lost_rows=lost)
         lo, hi = lost
         seen: set[int] = set()
-        for vec in (self._b, self._x, *self._tracked.values(),
+        for vec in (self._b, *self._tracked.values(),
                     *solver._vpool.values()):
             if id(vec) in seen:
                 continue
@@ -295,31 +295,6 @@ class _Recovery:
             KernelCost("checkpoint_restore", 0.0, 2.0 * nbytes, launches=1)
         )
         self._seen_faults = len(self._injector.injected)
-
-
-def dist_cg_step_1(p: Vector, z: Vector, beta) -> None:
-    """Fused ``p = z + beta * p``, rank-parallel; matches ``cg_step_1``."""
-    b = _bc(beta, p.dtype)
-    pd, zd = p._data, z._data
-
-    def op(lo, hi):
-        pd[lo:hi] *= b
-        pd[lo:hi] += zd[lo:hi]
-
-    p._rankwise_elementwise("cg_step_1", op, 3)
-
-
-def dist_cg_step_2(x: Vector, r: Vector, p: Vector, q: Vector, alpha) -> None:
-    """Fused ``x += alpha p ; r -= alpha q``; matches ``cg_step_2``."""
-    a = _bc(alpha, x.dtype)
-    xd, rd, pd, qd = x._data, r._data, p._data, q._data
-
-    def op(lo, hi):
-        xd[lo:hi] += a * pd[lo:hi]
-        rd[lo:hi] -= a * qd[lo:hi]
-
-    x._rankwise_elementwise("cg_step_2", op, 6)
-    r.mark_modified()
 
 
 def _pcg_local_dots(r: Vector, u: Vector, w: Vector) -> np.ndarray:
@@ -383,13 +358,18 @@ def dist_pcg_step(z, q, s, p, x, r, u, w, m, n, alpha, beta) -> None:
         ud[lo:hi] -= a * qd[lo:hi]
         wd[lo:hi] -= a * zd[lo:hi]
 
-    x._rankwise_elementwise("pipelined_cg_step", op, 18)
+    x._elementwise("pipelined_cg_step", op, 18)
     for vec in (z, q, s, p, r, u, w):
         vec.mark_modified()
 
 
 class DistributedIterativeSolver(IterativeSolver):
-    """Base of the distributed solvers: pooled Vectors, shared comm."""
+    """Base of the distributed solvers: pooled Vectors, shared comm, and
+    the loop runner with checkpoint/replay."""
+
+    #: True when one ``_run`` step is a whole restart cycle: cycles replay
+    #: deterministically from ``x``, so every cycle start is checkpointed.
+    _cycle_steps = False
 
     def __init__(self, factory: SolverFactory, matrix) -> None:
         if not isinstance(matrix, Matrix):
@@ -405,6 +385,7 @@ class DistributedIterativeSolver(IterativeSolver):
             )
         super().__init__(factory, matrix)
         self._vpool: dict[str, Vector] = {}
+        self._rhs: Vector | None = None
 
     @property
     def partition(self):
@@ -414,7 +395,7 @@ class DistributedIterativeSolver(IterativeSolver):
     def comm(self):
         return self._matrix.comm
 
-    def _vector(self, name: str, like: Vector, copy: bool = False) -> Vector:
+    def _buffer(self, name: str, like: Vector, copy: bool = False) -> Vector:
         """Pooled distributed Vector shaped like ``like``.
 
         All pooled vectors charge their reductions on the matrix's
@@ -454,70 +435,39 @@ class DistributedIterativeSolver(IterativeSolver):
 
     def _apply_impl(self, b: Vector, x: Vector) -> None:
         self._check_distributed_operands(b, x)
+        # A rank failure repartitions the right-hand side too.
+        self._rhs = b
         super()._apply_impl(b, x)
 
-    def _initial_residual_buffer(self, b: Vector) -> Vector:
-        return self._vector("base.r0", b, copy=True)
+    def _run(self, step, state: dict, monitor, **tracked) -> None:
+        """Run the loop with checkpoint/replay (see :class:`_Recovery`)."""
+        recovery = _Recovery.arm(self, self._rhs, tracked)
+        if recovery is None:
+            return super()._run(step, state, monitor)
+        monitor = recovery.wrap_monitor(monitor)
+        self.comm._verifier = recovery.verify
+        try:
+            while True:
+                if recovery.due(state["iteration"]):
+                    recovery.checkpoint(state)
+                try:
+                    if step(state, monitor):
+                        return
+                except RECOVERABLE as exc:
+                    # Resume from the checkpointed state: the replayed
+                    # steps recompute from bit-exact vectors.
+                    state.update(recovery.recover(exc))
+        finally:
+            self.comm._verifier = None
 
-    def _apply_advanced_impl(self, alpha, b, beta, x) -> None:
-        tmp = self._vector("base.advanced_tmp", x, copy=True)
-        self._apply_impl(b, tmp)
-        x.scale(beta)
-        x.add_scaled(alpha, tmp)
 
-
-class DistributedCgSolver(DistributedIterativeSolver):
-    """Distributed CG; iteration sequence copied from ``CgSolver``.
+class DistributedCgSolver(DistributedIterativeSolver, CgSolver):
+    """Distributed CG: the scalar ``CgSolver`` body on distributed Vectors.
 
     Under fault injection the loop checkpoints ``(x, r, p, rz)`` every
     ``checkpoint_every`` iterations and absorbs recoverable failures by
     restoring the checkpoint and replaying — see :class:`_Recovery`.
     """
-
-    def _iterate(self, A, M, b, x, r, monitor) -> None:
-        recovery = _Recovery.arm(self, b, x)
-        z = self._vector("cg.z", r)
-        M.apply(r, z)
-        p = self._vector("cg.p", z, copy=True)
-        q = self._vector("cg.q", r)
-        rz = r.compute_dot(z)
-        if recovery is not None:
-            recovery.track(r=r, p=p)
-            monitor = recovery.wrap_monitor(monitor)
-
-        iteration = 0
-        while True:
-            iteration += 1
-            if recovery is not None and recovery.due(iteration):
-                recovery.checkpoint(iteration, rz=rz)
-            try:
-                A.apply(p, q)
-                pq = p.compute_dot(q)
-                if recovery is not None:
-                    recovery.verify(pq)
-                alpha = _safe_divide(rz, pq)
-                dist_cg_step_2(x, r, p, q, alpha)
-                res_norm = r.compute_norm2()
-                if recovery is not None:
-                    recovery.verify(res_norm)
-                if monitor(iteration, res_norm):
-                    return
-                M.apply(r, z)
-                rz_new = r.compute_dot(z)
-                if recovery is not None:
-                    recovery.verify(rz_new)
-                beta = _safe_divide(rz_new, rz)
-                dist_cg_step_1(p, z, beta)
-                rz = rz_new
-            except RECOVERABLE as exc:
-                if recovery is None:
-                    raise
-                scalars = recovery.recover(exc)
-                # Resume at the checkpointed iteration: the loop header
-                # re-increments, so the replayed iteration recomputes
-                # from bit-exact state.
-                iteration = scalars["iteration"] - 1
-                rz = scalars["rz"]
 
 
 class DistributedPipelinedCgSolver(DistributedIterativeSolver):
@@ -548,239 +498,84 @@ class DistributedPipelinedCgSolver(DistributedIterativeSolver):
     """
 
     def _iterate(self, A, M, b, x, r, monitor) -> None:
-        recovery = _Recovery.arm(self, b, x)
         comm = self._matrix.comm
-        u = self._vector("pcg.u", r)
+        u = self._buffer("pcg.u", r)
         M.apply(r, u)
-        w = self._vector("pcg.w", r)
+        w = self._buffer("pcg.w", r)
         A.apply(u, w)
-        m = self._vector("pcg.m", r)
-        n = self._vector("pcg.n", r)
+        m = self._buffer("pcg.m", r)
+        n = self._buffer("pcg.n", r)
         # The auxiliary recurrences start at zero (beta_0 = 0 makes the
         # first update a plain copy, but a stale NaN from a previous
         # broken-down solve would survive `0 * NaN`).
-        z = self._vector("pcg.z", r).fill(0.0)
-        q = self._vector("pcg.q", r).fill(0.0)
-        s = self._vector("pcg.s", r).fill(0.0)
-        p = self._vector("pcg.p", r).fill(0.0)
-        if recovery is not None:
-            recovery.track(r=r, u=u, w=w, z=z, q=q, s=s, p=p)
-            monitor = recovery.wrap_monitor(monitor)
+        z = self._buffer("pcg.z", r).fill(0.0)
+        q = self._buffer("pcg.q", r).fill(0.0)
+        s = self._buffer("pcg.s", r).fill(0.0)
+        p = self._buffer("pcg.p", r).fill(0.0)
 
-        iteration = 0
-        prev_gamma = None
-        alpha = None
-        while True:
-            iteration += 1
-            if recovery is not None and recovery.due(iteration):
-                recovery.checkpoint(
-                    iteration, prev_gamma=prev_gamma, alpha=alpha
+        def step(state, monitor) -> bool:
+            iteration = state["iteration"]
+            # Fused local dots, then ONE non-blocking all-reduce …
+            reduced = _pcg_local_dots(r, u, w)
+            request = comm.iallreduce(
+                reduced.size * _REDUCE_BYTES,
+                label="iallreduce_pcg",
+                payload=reduced,
+            )
+            # … hidden behind the next preconditioner apply + SpMV
+            # (the point of the pipelined formulation).
+            M.apply(w, m)
+            A.apply(m, n)
+            request.wait()
+            gamma, delta, rr = reduced
+            res_norm = np.sqrt(rr)
+            # Pipeline depth 1: this pass's reduction delivers the
+            # residual of the *previous* pass's update.
+            if iteration > 1 and monitor(iteration - 1, res_norm):
+                return True
+            prev_gamma, alpha = state["prev_gamma"], state["alpha"]
+            if prev_gamma is None:
+                beta = np.zeros_like(gamma)
+                alpha = _safe_divide(gamma, delta)
+            else:
+                beta = _safe_divide(gamma, prev_gamma)
+                alpha = _safe_divide(
+                    gamma, delta - _safe_divide(beta * gamma, alpha)
                 )
-            try:
-                # Fused local dots, then ONE non-blocking all-reduce …
-                reduced = _pcg_local_dots(r, u, w)
-                request = comm.iallreduce(
-                    reduced.size * _REDUCE_BYTES,
-                    label="iallreduce_pcg",
-                    payload=reduced,
-                )
-                # … hidden behind the next preconditioner apply + SpMV
-                # (the point of the pipelined formulation).
-                M.apply(w, m)
-                A.apply(m, n)
-                request.wait()
-                if recovery is not None:
-                    recovery.verify(reduced)
-                gamma, delta, rr = reduced
-                res_norm = np.sqrt(rr)
-                # Pipeline depth 1: this pass's reduction delivers the
-                # residual of the *previous* pass's update.
-                if iteration > 1 and monitor(iteration - 1, res_norm):
-                    return
-                if prev_gamma is None:
-                    beta = np.zeros_like(gamma)
-                    alpha = _safe_divide(gamma, delta)
-                else:
-                    beta = _safe_divide(gamma, prev_gamma)
-                    alpha = _safe_divide(
-                        gamma, delta - _safe_divide(beta * gamma, alpha)
-                    )
-                dist_pcg_step(z, q, s, p, x, r, u, w, m, n, alpha, beta)
-                prev_gamma = gamma
-            except RECOVERABLE as exc:
-                if recovery is None:
-                    raise
-                scalars = recovery.recover(exc)
-                iteration = scalars["iteration"] - 1
-                prev_gamma = scalars["prev_gamma"]
-                alpha = scalars["alpha"]
+            dist_pcg_step(z, q, s, p, x, r, u, w, m, n, alpha, beta)
+            state.update(
+                iteration=iteration + 1, prev_gamma=gamma, alpha=alpha
+            )
+            return False
+
+        self._run(
+            step,
+            {"iteration": 1, "prev_gamma": None, "alpha": None},
+            monitor,
+            x=x, r=r, u=u, w=w, z=z, q=q, s=s, p=p,
+        )
 
 
-class DistributedGmresSolver(DistributedIterativeSolver):
-    """Distributed restarted GMRES (single right-hand side).
+class DistributedGmresSolver(DistributedIterativeSolver, GmresSolver):
+    """Distributed restarted GMRES: the scalar ``GmresSolver`` body.
 
-    The Krylov basis and Hessenberg matrix are replicated host-side (as
-    in the scalar solver's workspace arrays); basis updates run through
-    the same fused kernels, and the three per-iteration reductions (the
-    restart norm, the multi-dot, and the candidate norm) each charge one
-    all-reduce.
+    Single right-hand side.  The Krylov basis and Hessenberg matrix are
+    replicated host-side (the scalar solver's workspace arrays); the
+    three per-iteration reductions (the restart norm, the multi-dot, and
+    the candidate norm) each charge one all-reduce.
     """
 
-    def _iterate(self, A, M, b, x, r0, monitor) -> None:
-        krylov_dim = int(
-            self._factory.params.get("krylov_dim", DEFAULT_KRYLOV_DIM)
-        )
-        if krylov_dim < 1:
-            raise GinkgoError(f"krylov_dim must be >= 1, got {krylov_dim}")
-        if b.size.cols != 1:
+    _cycle_steps = True
+
+    def _column(self, name: str, block: Vector, index: int) -> Vector:
+        # Distributed Vectors have no column views: the one column is the
+        # vector itself.
+        if block.size.cols != 1:
             raise GinkgoError(
                 "distributed GMRES supports a single right-hand side, "
-                f"got {b.size.cols} columns"
+                f"got {block.size.cols} columns"
             )
-        exec_ = self._exec
-        comm = self._matrix.comm
-        ws = self._workspace
-        n = b.size.rows
-        m = krylov_dim
-        total_iteration = 0
-        w = self._vector("gmres.w", b)
-        r = self._vector("gmres.r", b)
-        recovery = _Recovery.arm(self, b, x)
-        if recovery is not None:
-            # The whole cycle replays deterministically from x, so the
-            # cycle start is an exact checkpoint: only x is snapshotted.
-            monitor = recovery.wrap_monitor(monitor)
-
-        while True:
-            if recovery is not None and recovery.due_cycle(total_iteration):
-                recovery.checkpoint(total_iteration)
-            try:
-                stopped = self._cycle(
-                    A, M, b, x, monitor, w, r, ws, n, m,
-                    total_iteration, recovery,
-                )
-            except RECOVERABLE as exc:
-                if recovery is None:
-                    raise
-                scalars = recovery.recover(exc)
-                total_iteration = scalars["iteration"]
-                continue
-            if stopped is None:
-                return
-            total_iteration, stopped = stopped
-            if stopped:
-                return
-            # Otherwise: restart.
-
-    def _cycle(
-        self, A, M, b, x, monitor, w, r, ws, n, m, total_iteration, recovery
-    ):
-        """One restart cycle; returns None on a zero residual, else
-        ``(total_iteration, stopped)``."""
-        exec_ = self._exec
-        comm = self._matrix.comm
-        if True:
-            # Preconditioned residual r = M^{-1}(b - A x).
-            w.copy_values_from(b)
-            A.apply_advanced(-1.0, x, 1.0, w)
-            M.apply(w, r)
-            beta = float(r.compute_norm2()[0])
-            if recovery is not None:
-                recovery.verify(beta)
-            if beta == 0.0:
-                monitor(total_iteration, 0.0)
-                return None
-            basis = ws.array("gmres.basis", (n, m + 1))
-            basis[:, 0] = r._data[:, 0] / beta
-            record_fused(exec_, "gmres_init", n, b.value_bytes, 2)
-            hessenberg = ws.array("gmres.hessenberg", (m + 1, m))
-            givens_cos = ws.array("gmres.givens_cos", m)
-            givens_sin = ws.array("gmres.givens_sin", m)
-            g = ws.array("gmres.g", m + 1)
-            g[0] = beta
-
-            inner = 0
-            stopped = False
-            for j in range(m):
-                # w = M^{-1} A v_j
-                w._data[:, 0] = basis[:, j]
-                A.apply(w, r)
-                M.apply(r, w)
-                # Fused multi-dot: locally a single einsum contraction in
-                # global element order, globally one all-reduce of the
-                # j+1 coefficients.
-                coeffs = gmres_multidot(basis, w, j + 1)
-                comm.all_reduce(
-                    (j + 1) * _REDUCE_BYTES,
-                    label="all_reduce_multidot",
-                    payload=coeffs,
-                )
-                if recovery is not None:
-                    recovery.verify(coeffs)
-                hessenberg[: j + 1, j] = coeffs
-                gmres_update(basis, w, coeffs, j + 1)
-                h_next = float(w.compute_norm2()[0])
-                if recovery is not None:
-                    recovery.verify(h_next)
-                hessenberg[j + 1, j] = h_next
-                if h_next != 0.0:
-                    basis[:, j + 1] = w._data[:, 0] / h_next
-                    record_fused(exec_, "gmres_scale", n, b.value_bytes, 2)
-                for i in range(j):
-                    hi, hi1 = hessenberg[i, j], hessenberg[i + 1, j]
-                    hessenberg[i, j] = (
-                        givens_cos[i] * hi + givens_sin[i] * hi1
-                    )
-                    hessenberg[i + 1, j] = (
-                        -givens_sin[i] * hi + givens_cos[i] * hi1
-                    )
-                denom = np.hypot(hessenberg[j, j], hessenberg[j + 1, j])
-                if denom == 0.0:
-                    givens_cos[j], givens_sin[j] = 1.0, 0.0
-                else:
-                    givens_cos[j] = hessenberg[j, j] / denom
-                    givens_sin[j] = hessenberg[j + 1, j] / denom
-                hessenberg[j, j] = denom
-                hessenberg[j + 1, j] = 0.0
-                g[j + 1] = -givens_sin[j] * g[j]
-                g[j] = givens_cos[j] * g[j]
-                # The Givens updates run redundantly on every rank (they
-                # are O(m) host work), so no communication is charged.
-                exec_.run(
-                    KernelCost(
-                        "givens_update", 6.0 * m, 24.0 * m, launches=3
-                    )
-                )
-
-                residual_norm = abs(g[j + 1])
-                inner = j + 1
-                total_iteration += 1
-                exec_.run(
-                    KernelCost("residual_check", 0.0, 64.0, launches=4)
-                )
-                stopped = monitor(total_iteration, residual_norm)
-                if stopped or h_next == 0.0:
-                    break
-
-            y = ws.array("gmres.y", inner)
-            for i in range(inner - 1, -1, -1):
-                y[i] = (
-                    g[i] - hessenberg[i, i + 1 : inner] @ y[i + 1 : inner]
-                ) / hessenberg[i, i]
-            exec_.run(
-                KernelCost(
-                    "hessenberg_trsv",
-                    flops=float(inner * inner),
-                    bytes=8.0 * inner * inner,
-                    launches=max(inner, 1),
-                )
-            )
-            x._data[:, 0] += basis[:, :inner] @ y
-            x.mark_modified()
-            record_fused(
-                exec_, "gmres_x_update", n * inner, b.value_bytes, 2
-            )
-            return total_iteration, stopped
+        return block
 
 
 #: Default s-step cycle length: the monomial basis loses roughly one
@@ -817,6 +612,8 @@ class DistributedSStepGmresSolver(DistributedIterativeSolver):
     blocking GMRES: cycles replay deterministically from ``x``.
     """
 
+    _cycle_steps = True
+
     def _iterate(self, A, M, b, x, r0, monitor) -> None:
         s = int(self._factory.params.get("s_step", DEFAULT_S_STEP))
         if s < 1:
@@ -826,123 +623,95 @@ class DistributedSStepGmresSolver(DistributedIterativeSolver):
                 "distributed s-step GMRES supports a single right-hand "
                 f"side, got {b.size.cols} columns"
             )
+        exec_ = self._exec
         ws = self._workspace
         n = b.size.rows
-        w = self._vector("sstep.w", b)
-        r = self._vector("sstep.r", b)
-        pk = self._vector("sstep.pk", b)
-        rho = self._matrix.infinity_norm() or 1.0
-        total_iteration = 0
-        recovery = _Recovery.arm(self, b, x)
-        if recovery is not None:
-            monitor = recovery.wrap_monitor(monitor)
+        w = self._buffer("sstep.w", b)
+        r = self._buffer("sstep.r", b)
+        pk = self._buffer("sstep.pk", b)
+        inv_rho = 1.0 / (self._matrix.infinity_norm() or 1.0)
 
-        while True:
-            if recovery is not None and recovery.due_cycle(total_iteration):
-                recovery.checkpoint(total_iteration)
-            try:
-                stopped = self._cycle(
-                    A, M, b, x, monitor, w, r, pk, ws, n, s, rho,
-                    total_iteration, recovery,
-                )
-            except RECOVERABLE as exc:
-                if recovery is None:
-                    raise
-                scalars = recovery.recover(exc)
-                total_iteration = scalars["iteration"]
-                continue
-            if stopped is None:
-                return
-            total_iteration, stopped = stopped
-            if stopped:
-                return
-            # Otherwise: restart with the next s-step cycle.
-
-    def _cycle(
-        self, A, M, b, x, monitor, w, r, pk, ws, n, s, rho,
-        total_iteration, recovery,
-    ):
-        """One s-step cycle; returns None on a zero residual, else
-        ``(total_iteration, stopped)``."""
-        exec_ = self._exec
-        comm = self._matrix.comm
-        # Preconditioned residual r = M^{-1}(b - A x).
-        w.copy_values_from(b)
-        A.apply_advanced(-1.0, x, 1.0, w)
-        M.apply(w, r)
-        basis = ws.array("sstep.basis", (n, s + 1))
-        basis[:, 0] = r._data[:, 0]
-        record_fused(exec_, "sstep_init", n, b.value_bytes, 2)
-        inv_rho = 1.0 / rho
-        for i in range(s):
-            # p_{i+1} = M^{-1}(A p_i) / rho — matrix work only, no
-            # reductions; the halo exchanges ride the overlap path when
-            # the matrix has it enabled.
-            pk._data[:, 0] = basis[:, i]
-            pk.mark_modified()
-            A.apply(pk, w)
-            M.apply(w, pk)
-            basis[:, i + 1] = pk._data[:, 0] * inv_rho
-            record_fused(exec_, "sstep_basis_scale", n, b.value_bytes, 2)
-        # The cycle's single global reduction: every inner iteration's
-        # orthogonalisation state in one (s+1)^2 payload.
-        gram = basis.T @ basis
-        exec_.run(
-            KernelCost(
-                "sstep_gram",
-                flops=2.0 * n * (s + 1) ** 2,
-                bytes=float(n * (s + 1) * b.value_bytes + gram.nbytes),
-                launches=1,
-            )
-        )
-        comm.all_reduce(
-            gram.size * _REDUCE_BYTES,
-            label="all_reduce_gram",
-            payload=gram,
-        )
-        if recovery is not None:
-            recovery.verify(gram)
-        if gram[0, 0] == 0.0:
-            monitor(total_iteration, 0.0)
-            return None
-
-        y = None
-        inner = 0
-        stopped = False
-        for k in range(1, s + 1):
-            corner = gram[1 : k + 1, 1 : k + 1]
-            rhs = gram[1 : k + 1, 0]
-            try:
-                yk = np.linalg.solve(corner, rhs)
-            except np.linalg.LinAlgError:
-                # Degenerate basis (Krylov space exhausted): fall back
-                # to the minimum-norm least-squares coefficients.
-                yk = np.linalg.lstsq(corner, rhs, rcond=None)[0]
-            residual_norm = np.sqrt(
-                max(float(gram[0, 0] - rhs @ yk), 0.0)
-            )
-            # The prefix solves are O(s^3) redundant host work on every
-            # rank, like the blocking solver's Givens updates.
+        def cycle(state, monitor) -> bool:
+            """One s-step cycle; True once the solve stops."""
+            total_iteration = state["iteration"]
+            # Preconditioned residual r = M^{-1}(b - A x).
+            w.copy_values_from(b)
+            A.apply_advanced(-1.0, x, 1.0, w)
+            M.apply(w, r)
+            basis = ws.array("sstep.basis", (n, s + 1))
+            basis[:, 0] = r._data[:, 0]
+            record_fused(exec_, "sstep_init", n, b.value_bytes, 2)
+            for i in range(s):
+                # p_{i+1} = M^{-1}(A p_i) / rho — matrix work only, no
+                # reductions; the halo exchanges ride the overlap path
+                # when the matrix has it enabled.
+                pk._data[:, 0] = basis[:, i]
+                pk.mark_modified()
+                A.apply(pk, w)
+                M.apply(w, pk)
+                basis[:, i + 1] = pk._data[:, 0] * inv_rho
+                record_fused(exec_, "sstep_basis_scale", n, b.value_bytes, 2)
+            # The cycle's single global reduction: every inner iteration's
+            # orthogonalisation state in one (s+1)^2 payload.
+            gram = basis.T @ basis
             exec_.run(
                 KernelCost(
-                    "sstep_normal_solve",
-                    flops=float(k**3) / 3.0 + 2.0 * k * k,
-                    bytes=8.0 * (k + 1) * (k + 1),
-                    launches=2,
+                    "sstep_gram",
+                    flops=2.0 * n * (s + 1) ** 2,
+                    bytes=float(n * (s + 1) * b.value_bytes + gram.nbytes),
+                    launches=1,
                 )
             )
-            y = yk
-            inner = k
-            total_iteration += 1
-            exec_.run(KernelCost("residual_check", 0.0, 64.0, launches=4))
-            stopped = monitor(total_iteration, residual_norm)
-            if stopped:
-                break
+            w._all_reduce(gram, "all_reduce_gram")
+            if gram[0, 0] == 0.0:
+                monitor(total_iteration, 0.0)
+                return True
 
-        x._data[:, 0] += basis[:, :inner] @ (y * inv_rho)
-        x.mark_modified()
-        record_fused(exec_, "sstep_x_update", n * inner, b.value_bytes, 2)
-        return total_iteration, stopped
+            y = None
+            inner = 0
+            stopped = False
+            for k in range(1, s + 1):
+                corner = gram[1 : k + 1, 1 : k + 1]
+                rhs = gram[1 : k + 1, 0]
+                try:
+                    yk = np.linalg.solve(corner, rhs)
+                except np.linalg.LinAlgError:
+                    # Degenerate basis (Krylov space exhausted): fall
+                    # back to the minimum-norm least-squares coefficients.
+                    yk = np.linalg.lstsq(corner, rhs, rcond=None)[0]
+                residual_norm = np.sqrt(
+                    max(float(gram[0, 0] - rhs @ yk), 0.0)
+                )
+                # The prefix solves are O(s^3) redundant host work on
+                # every rank, like the blocking solver's Givens updates.
+                exec_.run(
+                    KernelCost(
+                        "sstep_normal_solve",
+                        flops=float(k**3) / 3.0 + 2.0 * k * k,
+                        bytes=8.0 * (k + 1) * (k + 1),
+                        launches=2,
+                    )
+                )
+                y = yk
+                inner = k
+                total_iteration += 1
+                exec_.run(
+                    KernelCost("residual_check", 0.0, 64.0, launches=4)
+                )
+                stopped = monitor(total_iteration, residual_norm)
+                if stopped:
+                    break
+
+            x._data[:, 0] += basis[:, :inner] @ (y * inv_rho)
+            x.mark_modified()
+            record_fused(
+                exec_, "sstep_x_update", n * inner, b.value_bytes, 2
+            )
+            state["iteration"] = total_iteration
+            return stopped
+
+        # Cycles replay deterministically from x (see GmresSolver).
+        self._run(cycle, {"iteration": 0}, monitor, x=x)
 
 
 class DistributedCg(SolverFactory):

@@ -255,7 +255,7 @@ class Vector(LinOp):
             for rank, (lo, hi) in enumerate(self._partition.ranges)
         ]
 
-    def _rankwise_elementwise(self, name: str, op, num_vectors: int) -> None:
+    def _elementwise(self, name: str, op, num_vectors: int) -> None:
         """Run ``op(lo, hi)`` per rank as one fused streaming kernel."""
 
         def make_task(lo, hi):
@@ -279,7 +279,7 @@ class Vector(LinOp):
     def fill(self, value) -> "Vector":
         """Set every entry to ``value``."""
         data = self._data
-        self._rankwise_elementwise(
+        self._elementwise(
             "fill", lambda lo, hi: data[lo:hi].fill(value), 1
         )
         return self
@@ -288,7 +288,7 @@ class Vector(LinOp):
         """Overwrite this vector's values with ``other``'s (same shape)."""
         self._check_compatible(other, "copy_values_from")
         src, dst = other._data, self._data
-        self._rankwise_elementwise(
+        self._elementwise(
             "copy", lambda lo, hi: np.copyto(dst[lo:hi], src[lo:hi]), 2
         )
         return self
@@ -301,7 +301,7 @@ class Vector(LinOp):
         def op(lo, hi):
             data[lo:hi] *= a
 
-        self._rankwise_elementwise("scale", op, 2)
+        self._elementwise("scale", op, 2)
         return self
 
     def add_scaled(self, alpha, other: "Vector") -> "Vector":
@@ -313,7 +313,7 @@ class Vector(LinOp):
         def op(lo, hi):
             dst[lo:hi] += a * src[lo:hi]
 
-        self._rankwise_elementwise("add_scaled", op, 3)
+        self._elementwise("add_scaled", op, 3)
         return self
 
     # ------------------------------------------------------------------
@@ -328,23 +328,25 @@ class Vector(LinOp):
         partial results.
         """
         self._check_compatible(other, "compute_dot")
-        result = self._reduce("ij,ij->j", other)
-        self._comm.all_reduce(
-            self._size.cols * np.dtype(np.float64).itemsize,
-            label="all_reduce_dot",
-            payload=result,
+        return self._all_reduce(
+            self._reduce("ij,ij->j", other), "all_reduce_dot"
         )
-        return result
 
     def compute_norm2(self) -> np.ndarray:
         """Column-wise Euclidean norms, globally reduced."""
-        result = np.sqrt(self._reduce("ij,ij->j", self).astype(np.float64))
-        self._comm.all_reduce(
-            self._size.cols * np.dtype(np.float64).itemsize,
-            label="all_reduce_norm",
-            payload=result,
+        return self._all_reduce(
+            np.sqrt(self._reduce("ij,ij->j", self).astype(np.float64)),
+            "all_reduce_norm",
         )
-        return result
+
+    def _all_reduce(self, values: np.ndarray, label: str) -> np.ndarray:
+        """Charge the all-reduce of a locally evaluated reduction result."""
+        self._comm.all_reduce(
+            values.size * np.dtype(np.float64).itemsize,
+            label=label,
+            payload=values,
+        )
+        return values
 
     def _reduce(self, contraction: str, other: "Vector") -> np.ndarray:
         """Contract the arenas, charging the reduction's kernel cost.

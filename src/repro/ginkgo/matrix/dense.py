@@ -285,6 +285,24 @@ class Dense(LinOp):
         a = _coef(alpha, self.dtype)
         return self.add_scaled(-a if np.ndim(a) else -float(a), other)
 
+    def _elementwise(self, name: str, op, num_vectors: int) -> None:
+        """Run ``op(lo, hi)`` over all rows as one fused streaming kernel.
+
+        Fused solver steps call this so one helper serves every vector
+        type (the distributed ``Vector`` splits ``op`` by rank).
+        """
+        op(0, self._size.rows)
+        self._exec.run(
+            blas1_cost(
+                name, self._size.num_elements, self.value_bytes, num_vectors
+            )
+        )
+        self.mark_modified()
+
+    def _all_reduce(self, values: np.ndarray, label: str) -> np.ndarray:
+        """Globally combine a reduction result: free on one address space."""
+        return values
+
     def compute_dot(self, other: "Dense") -> np.ndarray:
         """Column-wise dot products ``self^T other`` (length-k vector)."""
         self._check_same_shape(other, "compute_dot")

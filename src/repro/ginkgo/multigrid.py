@@ -143,11 +143,9 @@ class MultigridOperator(LinOp):
 
     # ------------------------------------------------------------------
     def _smooth(self, level: _Level, rhs, x):
-        """Damped-Jacobi sweeps: x += omega D^-1 (rhs - A x)."""
-        for _ in range(1):
-            residual = rhs - level.matrix @ x
-            x = x + level.inv_diag[:, None] * residual
-        return x
+        """One damped-Jacobi sweep: x += omega D^-1 (rhs - A x)."""
+        residual = rhs - level.matrix @ x
+        return x + level.inv_diag[:, None] * residual
 
     def _vcycle(self, depth: int, rhs: np.ndarray) -> np.ndarray:
         if depth == len(self._levels):

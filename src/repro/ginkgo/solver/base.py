@@ -174,7 +174,7 @@ class IterativeSolver(LinOp):
             start_time=self._exec.clock.now,
         )
         # Initial residual r0 = b - A x0 (pooled; charges like b.clone()).
-        r = self._initial_residual_buffer(b)
+        r = self._buffer("base.r0", b, copy=True)
         self._matrix.apply_advanced(-1.0, x, 1.0, r)
         context.initial_resnorm = r.compute_norm2()
         criterion = self._factory.criteria.generate(context)
@@ -241,19 +241,35 @@ class IterativeSolver(LinOp):
             return
         self._iterate(self._matrix, self._preconditioner, b, x, r, monitor)
 
-    def _initial_residual_buffer(self, b):
-        """Pooled buffer initialised to a copy of ``b``.
-
-        Hook for subclasses whose vectors are not plain ``Dense`` (the
-        distributed solvers return a pooled distributed Vector here).
-        """
-        return self._workspace.dense_like("base.r0", b)
-
     def _apply_advanced_impl(self, alpha, b, beta, x) -> None:
-        tmp = self._workspace.dense_like("base.advanced_tmp", x)
+        tmp = self._buffer("base.advanced_tmp", x, copy=True)
         self._apply_impl(b, tmp)
         x.scale(beta)
         x.add_scaled(alpha, tmp)
+
+    # ------------------------------------------------------------------
+    # route hooks (the distributed solvers override these)
+    # ------------------------------------------------------------------
+    def _buffer(self, name: str, like, copy: bool = False):
+        """Pooled vector shaped like ``like``; a copy of it when ``copy``.
+
+        ``copy=True`` charges like ``like.clone()``; otherwise the
+        contents are unspecified and must be overwritten before use.
+        """
+        if copy:
+            return self._workspace.dense_like(name, like)
+        return self._workspace.dense(name, like.size, like.dtype)
+
+    def _run(self, step, state: dict, monitor, **tracked) -> None:
+        """Drive ``step(state, monitor)`` until it returns True.
+
+        ``state`` holds the iteration counter (``"iteration"``) and the
+        scalars carried between steps; ``tracked`` names the vectors
+        that make up the rest of the iteration state.  Both matter only
+        to the distributed checkpoint/replay override.
+        """
+        while not step(state, monitor):
+            pass
 
     # ------------------------------------------------------------------
     # to implement

@@ -29,17 +29,14 @@ class CgSolver(IterativeSolver):
         from repro.ginkgo.lazy import fused_step
         from repro.ginkgo.solver.kernels import cg_step_1, cg_step_2
 
-        ws = self._workspace
         exec_ = self._exec
-        z = ws.dense("cg.z", r.size, r.dtype)
+        z = self._buffer("cg.z", r)
         M.apply(r, z)
-        p = ws.dense_like("cg.p", z)
-        q = ws.dense("cg.q", r.size, r.dtype)
-        rz = r.compute_dot(z)
+        p = self._buffer("cg.p", z, copy=True)
+        q = self._buffer("cg.q", r)
 
-        iteration = 0
-        while True:
-            iteration += 1
+        def step(state, monitor) -> bool:
+            iteration, rz = state["iteration"], state["rz"]
             A.apply(p, q)
             pq = p.compute_dot(q)
             alpha = _safe_divide(rz, pq)
@@ -50,14 +47,22 @@ class CgSolver(IterativeSolver):
                 cg_step_2(x, r, p, q, alpha)
             res_norm = r.compute_norm2()
             if monitor(iteration, res_norm):
-                return
+                return True
             M.apply(r, z)
             rz_new = r.compute_dot(z)
             beta = _safe_divide(rz_new, rz)
             # cg_step_1 fuses the scale+add of p = z + beta p.
             with fused_step(exec_, "cg::step_1", ops_replaced=2):
                 cg_step_1(p, z, beta)
-            rz = rz_new
+            state["iteration"], state["rz"] = iteration + 1, rz_new
+            return False
+
+        # "iteration" is the one the next step runs; x, r, p (with rz)
+        # are the whole state — z and q are recomputed each step.
+        self._run(
+            step, {"iteration": 1, "rz": r.compute_dot(z)}, monitor,
+            x=x, r=r, p=p,
+        )
 
 
 class Cg(SolverFactory):

@@ -34,39 +34,44 @@ class GmresSolver(IterativeSolver):
         if krylov_dim < 1:
             raise GinkgoError(f"krylov_dim must be >= 1, got {krylov_dim}")
         # Each right-hand-side column builds its own Krylov space and is
-        # solved to its own stopping verdict.  The column operands are
-        # cached writable views into b/x, so per-column results land in x
-        # directly and the wrapper objects are reused across restarts.
-        ws = self._workspace
-        cols = b.size.cols
-        for c in range(cols):
+        # solved to its own stopping verdict.
+        for c in range(b.size.cols):
             self._solve_column(
                 A,
                 M,
-                ws.column_view(f"gmres.b[{c}]", b, c),
-                ws.column_view(f"gmres.x[{c}]", x, c),
+                self._column(f"gmres.b[{c}]", b, c),
+                self._column(f"gmres.x[{c}]", x, c),
                 krylov_dim,
-                monitor if cols == 1 else _ColumnMonitor(monitor, c, cols),
+                monitor,
             )
 
-    def _solve_column(self, A, M, b, x, krylov_dim, monitor) -> bool:
+    def _column(self, name: str, block, index: int):
+        """Column ``index`` of ``block`` as a solver operand.
+
+        Cached writable views into b/x, so per-column results land in x
+        directly and the wrapper objects are reused across applies.
+        """
+        return self._workspace.column_view(name, block, index)
+
+    def _solve_column(self, A, M, b, x, krylov_dim, monitor) -> None:
         from repro.ginkgo.lazy import fused_step
         from repro.ginkgo.solver.kernels import (
             gmres_multidot,
             gmres_update,
             record_fused,
         )
-        from repro.perfmodel import KernelCost, blas1_cost
+        from repro.perfmodel import KernelCost
 
         exec_ = self._exec
         ws = self._workspace
         n = b.size.rows
         m = krylov_dim
-        total_iteration = 0
-        w = ws.dense("gmres.w", b.size, b.dtype)
-        r = ws.dense("gmres.r", b.size, b.dtype)
+        w = self._buffer("gmres.w", b)
+        r = self._buffer("gmres.r", b)
 
-        while True:
+        def cycle(state, monitor) -> bool:
+            """One restart cycle; True once the solve stops."""
+            total_iteration = state["iteration"]
             # Preconditioned residual r = M^{-1}(b - A x).
             w.copy_values_from(b)
             A.apply_advanced(-1.0, x, 1.0, w)
@@ -164,23 +169,14 @@ class GmresSolver(IterativeSolver):
             )
             # x += V y (one fused GEMV-style kernel).
             x._data[:, 0] += basis[:, :inner] @ y
+            x.mark_modified()
             record_fused(exec_, "gmres_x_update", n * inner, b.value_bytes, 2)
-            if stopped:
-                return True
-            # Otherwise: restart.
+            state["iteration"] = total_iteration
+            return stopped
 
-
-class _ColumnMonitor:
-    """Scales multi-RHS column iterations into the shared monitor."""
-
-    def __init__(self, monitor, column: int, total_columns: int) -> None:
-        self._monitor = monitor
-        self._column = column
-        self._total = total_columns
-
-    def __call__(self, iteration: int, residual_norm) -> bool:
-        # Report per-column progress; only the last column's verdict stops.
-        return self._monitor(iteration, residual_norm)
+        # The cycle replays deterministically from x, so the cycle start
+        # is an exact checkpoint and x is the whole state.
+        self._run(cycle, {"iteration": 0}, monitor, x=x)
 
 
 class Gmres(SolverFactory):

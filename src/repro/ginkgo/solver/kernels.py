@@ -5,8 +5,10 @@ kernel (``cg::step_1``, ``cgs::step_2``, ...) rather than a chain of BLAS-1
 calls — a key reason its Krylov iterations launch far fewer kernels than
 Python-dispatched frameworks (the effect measured in the paper's Fig. 3c).
 
-These helpers perform the update numerically on the Dense operands' buffers
-and record exactly one kernel with the combined byte traffic.
+These helpers perform the update numerically on the operands' buffers and
+record exactly one kernel with the combined byte traffic.  The CG steps go
+through the vector type's elementwise entry point, so the same helper runs
+on a ``Dense`` and, rank-partitioned, on a distributed ``Vector``.
 """
 
 from __future__ import annotations
@@ -28,20 +30,33 @@ def record_fused(exec_, name: str, length: int, value_bytes: int, num_vectors: i
     exec_.run(blas1_cost(name, length, value_bytes, num_vectors))
 
 
-def cg_step_1(p: Dense, z: Dense, beta) -> None:
+def cg_step_1(p, z, beta) -> None:
     """Fused ``p = z + beta * p`` (one kernel, 3 vector operands)."""
     b = _bc(beta, p.dtype)
-    p._data *= b
-    p._data += z._data
-    record_fused(p.executor, "cg_step_1", p.size.num_elements, p.value_bytes, 3)
+    pd, zd = p._data, z._data
+
+    def op(lo, hi):
+        # In place on a local view: ``pd[lo:hi] *= b`` would also copy the
+        # result back through __setitem__.
+        view = pd[lo:hi]
+        view *= b
+        view += zd[lo:hi]
+
+    p._elementwise("cg_step_1", op, 3)
 
 
-def cg_step_2(x: Dense, r: Dense, p: Dense, q: Dense, alpha) -> None:
+def cg_step_2(x, r, p, q, alpha) -> None:
     """Fused ``x += alpha p ; r -= alpha q`` (one kernel, 6 operands)."""
     a = _bc(alpha, x.dtype)
-    x._data += a * p._data
-    r._data -= a * q._data
-    record_fused(x.executor, "cg_step_2", x.size.num_elements, x.value_bytes, 6)
+    xd, rd, pd, qd = x._data, r._data, p._data, q._data
+
+    def op(lo, hi):
+        x_view, r_view = xd[lo:hi], rd[lo:hi]
+        x_view += a * pd[lo:hi]
+        r_view -= a * qd[lo:hi]
+
+    x._elementwise("cg_step_2", op, 6)
+    r.mark_modified()
 
 
 def cgs_step_1(u: Dense, p: Dense, r: Dense, q: Dense, beta) -> None:
@@ -74,7 +89,9 @@ def gmres_multidot(basis_block, w: Dense, count: int):
     One batched reduction kernel (plus its finalisation pass), as in
     Ginkgo's ``gmres::multi_dot``.  Evaluated as an einsum contraction so
     the per-system reduction order matches the batched lockstep kernels
-    bit-for-bit (BLAS gemv blocks its accumulation differently).
+    bit-for-bit (BLAS gemv blocks its accumulation differently).  The
+    vector type then combines the result globally (an all-reduce for a
+    distributed ``Vector``, nothing for ``Dense``).
     """
     coeffs = np.einsum("ij,i->j", basis_block[:, :count], w._data[:, 0])
     w.executor.run(
@@ -85,7 +102,7 @@ def gmres_multidot(basis_block, w: Dense, count: int):
             2,
         )
     )
-    return coeffs
+    return w._all_reduce(coeffs, "all_reduce_multidot")
 
 
 def gmres_update(basis_block, w: Dense, coeffs, count: int) -> None:

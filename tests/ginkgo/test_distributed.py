@@ -372,7 +372,7 @@ def scalar_history(mat, b, factory_cls, **params):
     )
     logger = ConvergenceLogger()
     solver.add_logger(logger)
-    x = Dense(ex, np.zeros((mat.shape[0], 1)))
+    x = Dense(ex, np.zeros((mat.shape[0], 1), dtype=b.dtype))
     solver.apply(Dense(ex, b), x)
     return solver, list(logger.residual_norms), x._data.copy()
 
@@ -382,7 +382,7 @@ def distributed_history(mat, b, factory_cls, num_ranks, exec_=None, **params):
     part = Partition.build_uniform(mat.shape[0], num_ranks)
     dist = Matrix(ex, part, mat)
     db = Vector(ex, part, b, comm=dist.comm)
-    dx = Vector.zeros(ex, part, comm=dist.comm)
+    dx = Vector.zeros(ex, part, comm=dist.comm, dtype=b.dtype)
     solver = factory_cls(ex, criteria=crit(), **params).generate(dist)
     logger = ConvergenceLogger()
     solver.add_logger(logger)
@@ -391,19 +391,24 @@ def distributed_history(mat, b, factory_cls, num_ranks, exec_=None, **params):
 
 
 @pytest.mark.parametrize(
-    "scalar_cls,dist_cls,params",
+    "scalar_cls,dist_cls,params,dtype",
     [
-        (Cg, DistributedCg, {}),
-        (Gmres, DistributedGmres, {"krylov_dim": 25}),
+        (Cg, DistributedCg, {}, np.float64),
+        (Gmres, DistributedGmres, {"krylov_dim": 25}, np.float64),
+        # Restarted: four cycles on spd_matrix.
+        (Gmres, DistributedGmres, {"krylov_dim": 4}, np.float64),
+        # A float32 system keeps float32 storage on both routes.
+        (Cg, DistributedCg, {}, np.float32),
+        (Gmres, DistributedGmres, {"krylov_dim": 25}, np.float32),
     ],
-    ids=["cg", "gmres"],
+    ids=["cg", "gmres", "gmres-restarted", "cg-float32", "gmres-float32"],
 )
 class TestBitIdentity:
     def test_four_ranks_match_scalar_bitwise(
-        self, rng, scalar_cls, dist_cls, params
+        self, rng, scalar_cls, dist_cls, params, dtype
     ):
-        mat = spd_matrix(rng)
-        b = rng.standard_normal(mat.shape[0])
+        mat = spd_matrix(rng).astype(dtype)
+        b = rng.standard_normal(mat.shape[0]).astype(dtype)
         s, hist, x = scalar_history(mat, b, scalar_cls, **params)
         d, dhist, dx, dist = distributed_history(
             mat, b, dist_cls, num_ranks=4, **params
@@ -418,10 +423,10 @@ class TestBitIdentity:
         assert dx.tobytes() == x.tobytes()
 
     def test_single_rank_matches_multi_rank(
-        self, rng, scalar_cls, dist_cls, params
+        self, rng, scalar_cls, dist_cls, params, dtype
     ):
-        mat = spd_matrix(rng)
-        b = rng.standard_normal(mat.shape[0])
+        mat = spd_matrix(rng).astype(dtype)
+        b = rng.standard_normal(mat.shape[0]).astype(dtype)
         ref_exec = ReferenceExecutor.create(noisy=False)
         _, h1, x1, dist1 = distributed_history(
             mat, b, dist_cls, num_ranks=1, exec_=ref_exec, **params
