@@ -33,7 +33,10 @@ profile-smoke:
 # Fusion acceptance: pg.deferred() must beat the eager operator path by
 # >= 1.5x on the simulated clock with byte-identical residual histories
 # and same-seed traces, without regressing wall-clock.
+# Set-up acceptance: ISAI generate at 65,536 rows under 1.5 s wall, and
+# the PGM aggregation's wall ratio (65,536 over 16,384 rows) under 6.
 perf-smoke: mixed-smoke
+	$(PYTHON) benchmarks/bench_setup.py --smoke
 	$(PYTHON) benchmarks/bench_hot_path.py --smoke
 	$(PYTHON) benchmarks/bench_batch.py --smoke
 	$(PYTHON) benchmarks/bench_distributed.py --smoke

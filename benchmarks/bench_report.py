@@ -71,6 +71,20 @@ def _fmt_slo_cell(value, fmt) -> str:
     return format(value, fmt)
 
 
+def _table(title, rows) -> list:
+    """Indented, column-aligned lines: a title, a header row, a rule."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = [title]
+    for index, row in enumerate(rows):
+        lines.append(
+            "  "
+            + "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
+        )
+        if index == 0:
+            lines.append("  " + "  ".join("-" * width for width in widths))
+    return lines
+
+
 def render_slo(report) -> list:
     """SLO percentile table lines for a report carrying an ``"slo"`` key.
 
@@ -107,18 +121,7 @@ def render_slo(report) -> list:
         )
     if len(rows) == 1:
         return []
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = [f"SLO — {report.get('benchmark')}:"]
-    for index, row in enumerate(rows):
-        lines.append(
-            "  "
-            + "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
-        )
-        if index == 0:
-            lines.append(
-                "  " + "  ".join("-" * width for width in widths)
-            )
-    return lines
+    return _table(f"SLO — {report.get('benchmark')}:", rows)
 
 
 def render_mixed_cases(report) -> list:
@@ -146,16 +149,33 @@ def render_mixed_cases(report) -> list:
         )
     if len(rows) == 1:
         return []
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = [f"Mixed precision — {report.get('benchmark')}:"]
-    for index, row in enumerate(rows):
-        lines.append(
-            "  "
-            + "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
+    return _table(f"Mixed precision — {report.get('benchmark')}:", rows)
+
+
+def render_setup_cases(report) -> list:
+    """Per-case table lines for the preconditioner set-up report.
+
+    ``setup_cases`` holds one entry per (generate, grid) with its median
+    wall time and simulated charge (written by ``bench_setup.py``).
+    """
+    cases = report.get("setup_cases")
+    if not isinstance(cases, list) or not cases:
+        return []
+    rows = [("case", "rows", "wall s", "sim s")]
+    for case in cases:
+        if not isinstance(case, dict):
+            continue
+        rows.append(
+            (
+                str(case.get("case")),
+                str(case.get("rows")),
+                _fmt_slo_cell(case.get("wall_s"), ".4f"),
+                _fmt_slo_cell(case.get("sim_s"), ".3e"),
+            )
         )
-        if index == 0:
-            lines.append("  " + "  ".join("-" * width for width in widths))
-    return lines
+    if len(rows) == 1:
+        return []
+    return _table(f"Set-up — {report.get('benchmark')}:", rows)
 
 
 def render(reports) -> str:
@@ -180,14 +200,11 @@ def render(reports) -> str:
         if index == 0:
             lines.append("  ".join("-" * width for width in widths))
     for report in reports:
-        slo_lines = render_slo(report)
-        if slo_lines:
-            lines.append("")
-            lines.extend(slo_lines)
-        mixed_lines = render_mixed_cases(report)
-        if mixed_lines:
-            lines.append("")
-            lines.extend(mixed_lines)
+        for renderer in (render_slo, render_mixed_cases, render_setup_cases):
+            table = renderer(report)
+            if table:
+                lines.append("")
+                lines.extend(table)
     for report in reports:
         for failure in report.get("failures") or []:
             lines.append(f"  {report.get('benchmark')}: FAIL {failure}")

@@ -63,6 +63,9 @@ VALUE_SUFFIX_ALIASES = {
     "float64": "double",
 }
 
+#: Storage itemsize -> float dtype.
+_FLOAT_BY_ITEMSIZE = {dt.itemsize: dt for dt in SUFFIX_DTYPES.values()}
+
 #: numpy dtype -> canonical suffix.
 _DTYPE_SUFFIXES = {
     np.dtype(np.float16): "half",
@@ -160,17 +163,28 @@ def select_block_precision(cond_estimate: float, working_dtype) -> np.dtype:
     Returns:
         The storage dtype for this block.
     """
-    working = np.dtype(working_dtype)
-    if not np.isfinite(cond_estimate) or cond_estimate <= 0:
-        return working
-    if cond_estimate <= ADAPTIVE_HALF_COND_LIMIT:
-        chosen = np.dtype(np.float16)
-    elif cond_estimate <= ADAPTIVE_FLOAT_COND_LIMIT:
-        chosen = np.dtype(np.float32)
-    else:
-        chosen = np.dtype(np.float64)
-    # Never store wider than the working precision.
-    return chosen if chosen.itemsize <= working.itemsize else working
+    return _FLOAT_BY_ITEMSIZE[
+        int(_block_storage_itemsizes(cond_estimate, working_dtype))
+    ]
+
+
+def _block_storage_itemsizes(cond_estimates, working_dtype) -> np.ndarray:
+    """Vectorised :func:`select_block_precision`: storage itemsize per block.
+
+    Takes an array of condition estimates and returns the itemsize (2, 4
+    or 8 bytes) of each block's storage precision, by the same rule.
+    """
+    conds = np.asarray(cond_estimates, dtype=np.float64)
+    working = np.dtype(working_dtype).itemsize
+    chosen = np.select(
+        [conds <= ADAPTIVE_HALF_COND_LIMIT, conds <= ADAPTIVE_FLOAT_COND_LIMIT],
+        [2, 4],
+        8,
+    )
+    # Non-finite or non-positive estimates force the working precision,
+    # and storage is never wider than the working precision.
+    chosen = np.where(np.isfinite(conds) & (conds > 0), chosen, working)
+    return np.minimum(chosen, working)
 
 
 class ReducedPrecisionAccessor:

@@ -51,18 +51,20 @@ def pairwise_aggregation(matrix: sp.csr_matrix) -> np.ndarray:
             aggregate[best] = next_id
         next_id += 1
     # Pass 2: singletons with an aggregated strong neighbour merge into it.
-    for node in range(n):
+    # Aggregate sizes are tracked as nodes move, so later nodes see the
+    # sizes earlier moves left.  Only pass-1 singletons can be alone when
+    # visited: aggregates lose members only by emptying a singleton.
+    sizes = np.bincount(aggregate, minlength=next_id)
+    for node in np.flatnonzero(sizes[aggregate] == 1).tolist():
         start, stop = sym.indptr[node], sym.indptr[node + 1]
-        if stop - start == 0:
+        if stop - start == 0 or sizes[aggregate[node]] != 1:
             continue
-        # Nodes that ended up alone in their aggregate join a neighbour
-        # aggregate when that improves coarsening.
-        same = np.count_nonzero(aggregate == aggregate[node])
-        if same == 1:
-            neighbours = sym.indices[start:stop]
-            weights = sym.data[start:stop]
-            best = neighbours[np.argmax(weights)]
-            aggregate[node] = aggregate[best]
+        neighbours = sym.indices[start:stop]
+        weights = sym.data[start:stop]
+        target = aggregate[neighbours[np.argmax(weights)]]
+        sizes[aggregate[node]] -= 1
+        sizes[target] += 1
+        aggregate[node] = target
     # Compact aggregate ids.
     unique, compact = np.unique(aggregate, return_inverse=True)
     return compact.astype(np.int64)

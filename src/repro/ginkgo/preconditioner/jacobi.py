@@ -1,17 +1,20 @@
 """Scalar and block Jacobi preconditioning (``gko::preconditioner::Jacobi``).
 
 ``max_block_size=1`` gives scalar Jacobi (inverse diagonal).  Larger block
-sizes extract contiguous diagonal blocks, invert them (densely, batched),
-and apply the block inverses.  Storage precision is decoupled from the
-working precision through :mod:`repro.ginkgo.accessor`:
-``storage_precision=None`` (the default) stores the inverses at the system
-matrix's precision and keeps the apply byte-identical to the classic
-uniform path, a fixed precision (``"float"``, ``"half"``, ...) stores them
-reduced, and ``"adaptive"`` picks each block's storage from its condition
-estimate — Ginkgo's adaptive-precision block-Jacobi.  Reduced-storage
-applies route through the mixed-suffix binding symbols
-(``jacobi_apply_double_float``) and charge the cost model at storage
-width.
+sizes invert the contiguous diagonal blocks densely and batched, like
+Ginkgo's set-up kernel: the full blocks form one size group and a ragged
+last block another, each inverted by stacked LAPACK calls
+(:mod:`repro.ginkgo.preconditioner._stacked`), with no per-block slicing.
+The inverses stay stacked, and the apply is one stacked matmul per
+stack.  Storage precision is decoupled from the working precision
+through :mod:`repro.ginkgo.accessor`: ``storage_precision=None`` (the
+default) stores the inverses at the system matrix's precision and keeps
+the apply byte-identical to the classic uniform path, a fixed precision
+(``"float"``, ``"half"``, ...) stores them reduced, and ``"adaptive"``
+picks each block's storage from its condition estimate — Ginkgo's
+adaptive-precision block-Jacobi.  Reduced-storage applies route through
+the mixed-suffix binding symbols (``jacobi_apply_double_float``) and
+charge the cost model at storage width.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ginkgo.accessor import (
+    _FLOAT_BY_ITEMSIZE,
     ReducedPrecisionAccessor,
+    _block_storage_itemsizes,
     arithmetic_dtype_for,
     canonical_value_suffix,
     resolve_storage_dtype,
@@ -28,6 +33,7 @@ from repro.ginkgo.accessor import (
 from repro.ginkgo.exceptions import BadDimension, GinkgoError
 from repro.ginkgo.lin_op import LinOp, LinOpFactory
 from repro.ginkgo.matrix.dense import Dense, _scalar_value
+from repro.ginkgo.preconditioner._stacked import stacked_local_solves
 from repro.perfmodel import factorization_cost, spmv_cost
 
 
@@ -73,34 +79,50 @@ class JacobiOperator(LinOp):
             self._scalar_inverse = ReducedPrecisionAccessor(
                 inv, storage, arithmetic_dtype=arith
             )
-            self._block_inverses = None
+            self._block_groups = None
+            self._storage_widths = np.array([storage.itemsize])
         else:
             self._scalar_inverse = None
-            accessors = []
-            for start in range(0, n, bs):
-                stop = min(start + bs, n)
-                block = a[start:stop, start:stop].toarray()
-                try:
-                    inv_block = np.linalg.inv(block)
-                except np.linalg.LinAlgError as exc:
-                    raise GinkgoError(
-                        f"Jacobi block [{start}:{stop}) is singular"
-                    ) from exc
+            # Every diagonal block at once: the full blocks form one size
+            # group and a ragged last block (n % bs != 0) another, each
+            # inverted by stacked LAPACK calls.  A group's inverses are
+            # kept as stacks, one accessor per storage width.
+            offsets = np.minimum(np.arange(0, n + bs, bs), n)
+            inverses = stacked_local_solves(
+                a, offsets, np.arange(n),
+                singular=lambda b: GinkgoError(
+                    f"Jacobi block [{offsets[b]}:{offsets[b + 1]}) is "
+                    "singular"
+                ),
+            )
+            groups = []
+            widths = np.empty(offsets.size - 1, dtype=np.int64)
+            for ids, rows, blocks, inv in inverses:
                 if adaptive:
-                    cond = float(
-                        np.linalg.norm(block, 1) * np.linalg.norm(inv_block, 1)
+                    cond = np.linalg.norm(blocks, 1, axis=(1, 2)) * (
+                        np.linalg.norm(inv, 1, axis=(1, 2))
                     )
-                    block_storage = select_block_precision(
+                    chunk = _block_storage_itemsizes(
                         cond, self._working_dtype
                     )
                 else:
-                    block_storage = storage
-                accessors.append(
-                    ReducedPrecisionAccessor(
-                        inv_block, block_storage, arithmetic_dtype=arith
-                    )
-                )
-            self._block_inverses = accessors
+                    chunk = np.full(ids.size, storage.itemsize)
+                widths[ids] = chunk
+                for width in np.unique(chunk).tolist():
+                    pick = chunk == width
+                    groups.append((rows[pick], ReducedPrecisionAccessor(
+                        inv[pick], _FLOAT_BY_ITEMSIZE[width],
+                        arithmetic_dtype=arith,
+                    )))
+            self._block_groups = groups
+            self._storage_widths = widths
+        # Storage is fixed from here on: every apply asks for the
+        # narrowest width, so pick it once.
+        self._narrowest_storage = (
+            _FLOAT_BY_ITEMSIZE[int(self._storage_widths.min())]
+            if self._storage_widths.size
+            else self._working_dtype
+        )
         self._exec.run(
             factorization_cost(
                 "jacobi", n, matrix.nnz, matrix.value_bytes,
@@ -115,36 +137,30 @@ class JacobiOperator(LinOp):
     @property
     def storage_dtypes(self) -> tuple:
         """Per-block storage dtypes (one entry for scalar Jacobi)."""
-        if self._scalar_inverse is not None:
-            return (self._scalar_inverse.storage_dtype,)
-        return tuple(acc.storage_dtype for acc in self._block_inverses)
+        return tuple(
+            _FLOAT_BY_ITEMSIZE[width] for width in self._storage_widths.tolist()
+        )
 
     @property
     def is_mixed(self) -> bool:
         """Whether any block is stored below the working precision."""
-        return any(
-            dt.itemsize < self._working_dtype.itemsize
-            for dt in self.storage_dtypes
-        )
+        return self._narrowest_storage.itemsize < self._working_dtype.itemsize
 
     def _mixed_suffixes(self) -> tuple:
         """(working, narrowest storage) suffix pair for the mixed symbol."""
-        narrowest = min(self.storage_dtypes, key=lambda dt: dt.itemsize)
         return (
             canonical_value_suffix(self._working_dtype),
-            canonical_value_suffix(narrowest),
+            canonical_value_suffix(self._narrowest_storage),
         )
 
     def _apply_arrays(self, rhs: np.ndarray) -> np.ndarray:
         if self._scalar_inverse is not None:
             return self._scalar_inverse.read()[:, None] * rhs
+        # One stacked matmul per group; each block's product is the same
+        # BLAS call a per-block ``inv @ rhs[start:stop]`` makes.
         out = np.empty_like(rhs, dtype=self._arith_dtype)
-        bs = self._block_size
-        for index, acc in enumerate(self._block_inverses):
-            start = index * bs
-            inv_block = acc.read()
-            stop = start + inv_block.shape[0]
-            out[start:stop] = inv_block @ rhs[start:stop]
+        for rows, acc in self._block_groups:
+            out[rows] = acc.read() @ rhs[rows]
         return out
 
     def _record(self, num_rhs: int) -> None:
@@ -158,10 +174,9 @@ class JacobiOperator(LinOp):
                 self._size.rows
             )
         else:
-            for acc in self._block_inverses:
+            for rows, acc in self._block_groups:
                 width = acc.storage_bytes
-                rows = acc.read().shape[0]
-                rows_by_width[width] = rows_by_width.get(width, 0) + rows
+                rows_by_width[width] = rows_by_width.get(width, 0) + rows.size
         for width, rows in sorted(rows_by_width.items()):
             self._exec.run(
                 spmv_cost(

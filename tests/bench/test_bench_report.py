@@ -93,3 +93,24 @@ class TestMainExitCodes:
         assert self._run(monkeypatch, tmp_path, "--json", str(out_file)) == 0
         combined = json.loads(out_file.read_text())
         assert [r["benchmark"] for r in combined] == ["good"]
+
+
+class TestRenderSetupCases:
+    def test_setup_cases_table(self):
+        report = {
+            "benchmark": "preconditioner_setup",
+            "setup_cases": [
+                {"case": "isai", "rows": 65536, "wall_s": 0.12,
+                 "sim_s": 1.3e-4},
+                {"case": "pgm_aggregation", "rows": 65536, "wall_s": 0.18,
+                 "sim_s": None},
+            ],
+        }
+        lines = bench_report.render_setup_cases(report)
+        assert lines[0] == "Set-up — preconditioner_setup:"
+        assert "isai" in lines[3] and "0.1200" in lines[3]
+        assert "1.300e-04" in lines[3]
+        assert lines[4].split()[-1] == "-"
+
+    def test_reports_without_setup_cases_render_nothing(self):
+        assert bench_report.render_setup_cases({"benchmark": "x"}) == []

@@ -5,12 +5,20 @@ import pytest
 import scipy.sparse as sp
 
 from repro.ginkgo import BadDimension
+from repro.ginkgo.accessor import (
+    arithmetic_dtype_for,
+    resolve_storage_dtype,
+    select_block_precision,
+)
 from repro.ginkgo.exceptions import GinkgoError
+from repro.ginkgo.executor import ReferenceExecutor
 from repro.ginkgo.factorization import ic0, ilu0, lu
 from repro.ginkgo.matrix import Csr, Dense
 from repro.ginkgo.preconditioner import Ic, Ilu, Isai, Jacobi
 from repro.ginkgo.solver import Cg, Gmres
 from repro.ginkgo.stop import Iteration, ResidualNorm
+from repro.perfmodel import factorization_cost
+from repro.suitesparse.generators import poisson_2d
 
 CRIT = Iteration(500) | ResidualNorm(1e-10)
 
@@ -124,6 +132,223 @@ class TestIsai:
     def test_invalid_sparsity_power(self, ref):
         with pytest.raises(GinkgoError):
             Isai(ref, sparsity_power=0)
+
+
+def _scaled_poisson(nx, seed):
+    """SPD ``D A D`` on an nx x nx Poisson grid, D positive and random."""
+    scale = np.exp(np.random.default_rng(seed).uniform(-0.5, 0.5, nx * nx))
+    return (sp.diags(scale) @ poisson_2d(nx) @ sp.diags(scale)).tocsr()
+
+
+def _isai_oracle(exec_, mtx, sparsity_power=1, storage_precision=None):
+    """ISAI set-up as one dense solve per row, with per-row SciPy slicing.
+
+    This is the loop the stacked set-up replaced, kept as the reference:
+    same pattern, same local systems, same inverse and the same charge.
+    """
+    working = np.dtype(mtx.dtype)
+    a = mtx._scipy_view().tocsr().astype(arithmetic_dtype_for(working))
+    pattern = a.copy()
+    for _ in range(sparsity_power - 1):
+        pattern = (pattern @ a).tocsr()
+    pattern.sort_indices()
+    n = a.shape[0]
+    a_csc = a.tocsc()
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        j_set = pattern.indices[pattern.indptr[i]:pattern.indptr[i + 1]]
+        if j_set.size == 0:
+            continue
+        sub = a_csc[:, j_set][j_set, :].toarray()
+        rhs = np.zeros(j_set.size, dtype=a.dtype)
+        local = np.searchsorted(j_set, i)
+        if local < j_set.size and j_set[local] == i:
+            rhs[local] = 1.0
+        try:
+            w = np.linalg.solve(sub.T, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise GinkgoError(f"ISAI: singular local system in row {i}") from exc
+        rows.extend([i] * j_set.size)
+        cols.extend(j_set.tolist())
+        vals.extend(w.tolist())
+    inverse = Csr.from_scipy(
+        exec_, sp.csr_matrix((vals, (rows, cols)), shape=(n, n)),
+        value_dtype=resolve_storage_dtype(storage_precision, working),
+        index_dtype=mtx.index_dtype,
+    )
+    exec_.run(
+        factorization_cost(
+            "ilu0", n, mtx.nnz, mtx.value_bytes, mtx.index_bytes
+        ).scaled(2.0)
+    )
+    return inverse
+
+
+def _with_empty_row(matrix, row):
+    """``matrix`` with row and column ``row`` removed from the pattern."""
+    keep = np.ones(matrix.shape[0])
+    keep[row] = 0.0
+    out = (sp.diags(keep) @ matrix @ sp.diags(keep)).tocsr()
+    out.eliminate_zeros()
+    return out
+
+
+_NONSYMMETRIC = (
+    _scaled_poisson(10, 4)
+    + sp.random(100, 100, density=0.02, random_state=4)
+).tocsr()
+
+ISAI_IDENTITY_CASES = {
+    "power1": (_scaled_poisson(12, 1), np.float64, {}),
+    "power2": (_scaled_poisson(12, 2), np.float64, {"sparsity_power": 2}),
+    "power3": (_scaled_poisson(9, 3), np.float64, {"sparsity_power": 3}),
+    "float32_system": (_scaled_poisson(12, 5), np.float32, {}),
+    "float_storage": (
+        _scaled_poisson(12, 6), np.float64, {"storage_precision": "float"}
+    ),
+    "half_storage": (
+        _scaled_poisson(12, 7), np.float64, {"storage_precision": "half"}
+    ),
+    "nonsymmetric": (_NONSYMMETRIC, np.float64, {"sparsity_power": 2}),
+    "empty_row": (_with_empty_row(_scaled_poisson(8, 8), 5), np.float64, {}),
+    "one_by_one": (sp.csr_matrix(np.array([[4.0]])), np.float64, {}),
+}
+
+
+class TestStackedIsaiSetup:
+    """The stacked ISAI set-up is byte-identical to the per-row loop."""
+
+    @pytest.mark.parametrize("case", sorted(ISAI_IDENTITY_CASES))
+    def test_matches_per_row_oracle(self, case):
+        matrix, dtype, options = ISAI_IDENTITY_CASES[case]
+        results = []
+        for build in (
+            lambda dev, mtx: Isai(dev, **options).generate(mtx)
+            .approximate_inverse,
+            lambda dev, mtx: _isai_oracle(dev, mtx, **options),
+        ):
+            dev = ReferenceExecutor.create(noisy=False)
+            mtx = Csr.from_scipy(dev, matrix.astype(dtype))
+            inverse = build(dev, mtx)
+            results.append((inverse, dev.clock.now))
+        (new, new_clock), (old, old_clock) = results
+        for name in ("row_ptrs", "col_idxs", "values"):
+            got, want = getattr(new, name), getattr(old, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        assert new_clock == old_clock
+
+    @pytest.mark.parametrize(
+        "dense, row",
+        [
+            # Row 3's system is singular; the others are not.
+            ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]], 3),
+            # Every system is singular.  Row 3's (size 2) is stacked
+            # before row 0's (size 3), yet row 0 is the one named.
+            ([[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 1], [0, 0, 1, 1]], 0),
+        ],
+    )
+    def test_singular_local_system_names_first_row(self, ref, dense, row):
+        matrix = sp.csr_matrix(np.array(dense, dtype=np.float64))
+        mtx = Csr.from_scipy(ref, matrix)
+        message = f"ISAI: singular local system in row {row}"
+        with pytest.raises(GinkgoError, match=message):
+            _isai_oracle(ReferenceExecutor.create(noisy=False), mtx)
+        with pytest.raises(GinkgoError, match=message):
+            Isai(ref).generate(mtx)
+
+
+def _block_inverse_oracle(matrix, bs, storage_precision, dtype):
+    """Per-block ``np.linalg.inv`` and storage picks, block by block."""
+    working = np.dtype(dtype)
+    a = matrix.astype(arithmetic_dtype_for(working)).tocsr()
+    n = a.shape[0]
+    expected = np.zeros((n, n), dtype=a.dtype)
+    storage = []
+    for start in range(0, n, bs):
+        stop = min(start + bs, n)
+        block = a[start:stop, start:stop].toarray()
+        inv = np.linalg.inv(block)
+        if storage_precision == "adaptive":
+            cond = float(np.linalg.norm(block, 1) * np.linalg.norm(inv, 1))
+            dt = select_block_precision(cond, working)
+        else:
+            dt = resolve_storage_dtype(storage_precision, working)
+        storage.append(dt)
+        expected[start:stop, start:stop] = inv.astype(dt).astype(a.dtype)
+    return expected, tuple(storage)
+
+
+class TestStackedBlockJacobi:
+    """Stacked block inverses equal per-block ``np.linalg.inv``."""
+
+    @pytest.mark.parametrize(
+        "nx, bs, storage_precision, dtype",
+        [
+            (10, 4, None, np.float64),  # 100 % 4 == 0
+            (10, 8, None, np.float64),  # ragged last block of 4 rows
+            (9, 5, None, np.float32),  # ragged, float32 system
+            (9, 8, "float", np.float64),
+            (10, 3, "adaptive", np.float64),
+            (9, 6, "adaptive", np.float32),
+        ],
+    )
+    def test_matches_per_block_inverse(
+        self, ref, nx, bs, storage_precision, dtype
+    ):
+        # Row scalings of 1, 10^1.5 and 10^4 per row step, by block,
+        # spread the block condition numbers over all three adaptive
+        # storage precisions.
+        rows = np.arange(nx * nx)
+        steps = np.array([0.0, 1.5, 4.0])[(rows // bs) % 3]
+        scale = sp.diags(10.0 ** (steps * (rows % bs)))
+        matrix = (scale @ _scaled_poisson(nx, bs)).tocsr()
+        expected, storage = _block_inverse_oracle(
+            matrix, bs, storage_precision, dtype
+        )
+        mtx = Csr.from_scipy(ref, matrix.astype(dtype))
+        op = Jacobi(
+            ref, max_block_size=bs, storage_precision=storage_precision
+        ).generate(mtx)
+        assert op.storage_dtypes == storage
+        if storage_precision == "adaptive":
+            assert len(set(storage)) > 1
+        # Applying to the identity reads the block inverses back exactly.
+        n = nx * nx
+        eye = Dense(ref, np.eye(n, dtype=dtype))
+        out = Dense.zeros(ref, (n, n), dtype)
+        op.apply(eye, out)
+        assert np.array_equal(np.asarray(out), expected.astype(dtype))
+
+    def test_adaptive_picks_near_thresholds(self, ref):
+        # Block condition numbers straddle the half/float and float/double
+        # cut-offs, where any other estimate (a 2-norm, a different
+        # rounding) would flip some picks.
+        rng = np.random.default_rng(3)
+        bs = 4
+        blocks = []
+        for cond in np.geomspace(30.0, 3e6, 60):
+            u, _ = np.linalg.qr(rng.standard_normal((bs, bs)))
+            v, _ = np.linalg.qr(rng.standard_normal((bs, bs)))
+            blocks.append(u @ np.diag(np.geomspace(1.0, 1.0 / cond, bs)) @ v.T)
+        matrix = sp.block_diag(blocks, format="csr")
+        _, storage = _block_inverse_oracle(matrix, bs, "adaptive", np.float64)
+        op = Jacobi(
+            ref, max_block_size=bs, storage_precision="adaptive"
+        ).generate(Csr.from_scipy(ref, matrix))
+        assert op.storage_dtypes == storage
+
+    def test_singular_block_names_first_singular_block(self, ref):
+        # Blocks [4:8) and the ragged [8:10) are singular; the ragged
+        # block is inverted first (smaller size group), yet [4:8) is named.
+        dense = np.eye(10)
+        dense[4:8, 4:8] = 1.0
+        dense[8:10, 8:10] = 1.0
+        mtx = Csr.from_scipy(ref, sp.csr_matrix(dense))
+        with pytest.raises(
+            GinkgoError, match=r"Jacobi block \[4:8\) is singular"
+        ):
+            Jacobi(ref, max_block_size=4).generate(mtx)
 
 
 class TestIlu0Factorization:

@@ -14,6 +14,7 @@ from repro.ginkgo.multigrid import (
 )
 from repro.ginkgo.reorder import bandwidth, permute, rcm
 from repro.ginkgo.scaling import equilibrate
+from repro.suitesparse.generators import poisson_2d
 
 REF = ReferenceExecutor.create(noisy=False)
 
@@ -134,7 +135,90 @@ class TestEquilibrationProperties:
         )
 
 
+def _aggregation_oracle(matrix):
+    """Pairwise aggregation with the O(n^2) pass 2 it used to run.
+
+    Pass 2 recounts each node's aggregate with ``np.count_nonzero`` over
+    the whole aggregate vector; kept as the reference for the O(nnz)
+    size-tracking pass.
+    """
+    n = matrix.shape[0]
+    sym = (abs(matrix) + abs(matrix).T).tocsr()
+    sym.setdiag(0.0)
+    sym.eliminate_zeros()
+    aggregate = np.full(n, -1, dtype=np.int64)
+    next_id = 0
+    for node in range(n):
+        if aggregate[node] >= 0:
+            continue
+        start, stop = sym.indptr[node], sym.indptr[node + 1]
+        best, best_weight = -1, 0.0
+        for neighbour, weight in zip(
+            sym.indices[start:stop], sym.data[start:stop]
+        ):
+            if aggregate[neighbour] < 0 and weight > best_weight:
+                best, best_weight = int(neighbour), float(weight)
+        aggregate[node] = next_id
+        if best >= 0:
+            aggregate[best] = next_id
+        next_id += 1
+    for node in range(n):
+        start, stop = sym.indptr[node], sym.indptr[node + 1]
+        if stop - start == 0:
+            continue
+        if np.count_nonzero(aggregate == aggregate[node]) == 1:
+            best = sym.indices[start:stop][np.argmax(sym.data[start:stop])]
+            aggregate[node] = aggregate[best]
+    return np.unique(aggregate, return_inverse=True)[1].astype(np.int64)
+
+
+def _poisson_with_isolated_nodes(nx, isolated):
+    """2D Poisson with the given nodes decoupled (diagonal entry only)."""
+    mat = poisson_2d(nx).tolil()
+    for node in isolated:
+        mat[node, :] = 0.0
+        mat[:, node] = 0.0
+        mat[node, node] = 4.0
+    return mat.tocsr()
+
+
 class TestAggregationProperties:
+    @given(mat=square_matrices())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_quadratic_pass_two(self, mat):
+        assert np.array_equal(
+            pairwise_aggregation(mat), _aggregation_oracle(mat)
+        )
+
+    def test_matches_quadratic_pass_two_with_isolated_nodes(self):
+        # Isolated nodes stay singletons; their neighbours lose a partner
+        # and some end up alone after pass 1, so pass 2 moves them.
+        mat = _poisson_with_isolated_nodes(12, [0, 13, 14, 50, 77, 143])
+        agg = pairwise_aggregation(mat)
+        assert np.array_equal(agg, _aggregation_oracle(mat))
+        for node in (0, 13, 14, 50, 77, 143):
+            assert np.count_nonzero(agg == agg[node]) == 1
+
+    def test_later_singletons_see_earlier_moves(self):
+        # NaN edges are never matched in pass 1, so nodes 1 and 3 both end
+        # up alone.  In pass 2 node 1 joins node 3 (argmax picks the NaN),
+        # and node 3 must then see an aggregate of two and stay, instead
+        # of following its own first NaN edge into node 0's pair.
+        nan = np.nan
+        mat = sp.csr_matrix(
+            np.array(
+                [
+                    [4.0, 1.0, 2.0, nan],
+                    [1.0, 4.0, 1.0, nan],
+                    [2.0, 1.0, 4.0, 0.0],
+                    [nan, nan, 0.0, 4.0],
+                ]
+            )
+        )
+        agg = pairwise_aggregation(mat)
+        assert np.array_equal(agg, _aggregation_oracle(mat))
+        assert np.array_equal(agg, [0, 1, 0, 1])
+
     @given(mat=square_matrices())
     @settings(max_examples=25, deadline=None)
     def test_aggregation_is_total_and_compact(self, mat):
